@@ -2,7 +2,8 @@
 # Full local verification, split into the stages the CI workflow runs as its
 # matrix (.github/workflows/ci.yml).  Run from anywhere inside the repo.
 #
-#   scripts/check.sh                  # tier1 scenario faults serve diff perf asan
+#   scripts/check.sh                  # lint tier1 scenario faults serve diff perf
+#                                     # perfbench asan tsan
 #   scripts/check.sh --fast           # same minus the sanitizer stage
 #   scripts/check.sh tier1 scenario   # just the named stages
 #
@@ -35,6 +36,8 @@
 #             pass so the shard workers run under the race detector (no floor
 #             gate — instrumentation overhead would always trip it)
 #   bench     Release build (build-bench/) + the bench_smoke label
+#   perfbench the repo benchmark's own unit tests: perfbench/ configured out
+#             of tree (build/perfbench/), perfbench_test built and run
 #   lint      static analysis: zombie-lint over the whole tree (BLOCKING —
 #             any finding fails the stage; suppressions need a written
 #             reason), the `lint` ctest label (engine unit tests, fixture
@@ -62,17 +65,17 @@ fi
 stages=()
 for arg in "$@"; do
   case "${arg}" in
-    --fast) stages+=(lint tier1 scenario faults serve diff perf) ;;
-    lint|tier1|scenario|faults|serve|diff|perf|asan|tsan|bench) stages+=("${arg}") ;;
+    --fast) stages+=(lint tier1 scenario faults serve diff perf perfbench) ;;
+    lint|tier1|scenario|faults|serve|diff|perf|asan|tsan|bench|perfbench) stages+=("${arg}") ;;
     *)
       echo "check.sh: unknown argument '${arg}'" >&2
-      echo "usage: scripts/check.sh [--fast] [lint|tier1|scenario|faults|serve|diff|perf|asan|tsan|bench ...]" >&2
+      echo "usage: scripts/check.sh [--fast] [lint|tier1|scenario|faults|serve|diff|perf|asan|tsan|bench|perfbench ...]" >&2
       exit 2
       ;;
   esac
 done
 if [[ ${#stages[@]} -eq 0 ]]; then
-  stages=(lint tier1 scenario faults serve diff perf asan tsan)
+  stages=(lint tier1 scenario faults serve diff perf perfbench asan tsan)
 fi
 
 # Per-stage wall-clock, reported at the end (and to the CI job summary).
@@ -232,6 +235,15 @@ for stage in "${stages[@]}"; do
       cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release "${cmake_args[@]}"
       cmake --build build-bench -j "${jobs}"
       ctest --test-dir build-bench -L bench_smoke --output-on-failure -j "${jobs}"
+      ;;
+    perfbench)
+      echo "==> [${n}/${total}] perfbench: the benchmark package's unit tests (build/perfbench/)"
+      # perfbench/ is a CMake project of its own (perfbench/run.py builds it
+      # into .bench_build/); here it is configured out of tree under build/
+      # so its tests run against this checkout's src/.
+      cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo "${cmake_args[@]}"
+      cmake --build build/perfbench -j "${jobs}" --target perfbench_test
+      ./build/perfbench/perfbench_test
       ;;
   esac
   stage_names+=("${stage}")

@@ -76,13 +76,17 @@ class GuestPageTable {
   bool Accessed(PageIndex p) const { return Accessed(entries_[p]); }
   void SetAccessed(PageTableEntry& e) { e.accessed_epoch = epoch_; }
   void SetAccessed(PageIndex p) { SetAccessed(entries_[p]); }
-  void ClearAccessed(PageTableEntry& e) { e.accessed_epoch = 0; }
+  void ClearAccessed(PageTableEntry& e) {
+    e.accessed_epoch = 0;
+    ++clear_generation_;
+  }
   void ClearAccessed(PageIndex p) { ClearAccessed(entries_[p]); }
 
   // Clears every accessed bit (the periodic scan): bump the epoch.  On the
   // 16-bit wrap (once per ~65k clears) physically reset the entries so a
   // stale epoch can never read as freshly accessed.
   void ClearAccessedBits() {
+    ++clear_generation_;
     if (++epoch_ == 0) {
       for (auto& e : entries_) {
         e.accessed_epoch = 0;
@@ -90,6 +94,12 @@ class GuestPageTable {
       epoch_ = 1;
     }
   }
+
+  // Counts the operations that can clear an A-bit (both clears above).
+  // Between two bumps bits are only ever set, so a page seen accessed stays
+  // accessed until the generation moves — ClockPolicy resumes its scan on
+  // that guarantee.  64 bits: it never wraps.
+  std::uint64_t clear_generation() const { return clear_generation_; }
 
   std::uint64_t CountPresent() const {
     std::uint64_t n = 0;
@@ -102,6 +112,7 @@ class GuestPageTable {
  private:
   std::vector<PageTableEntry> entries_;
   std::uint16_t epoch_ = 1;
+  std::uint64_t clear_generation_ = 0;
 };
 
 }  // namespace zombie::hv

@@ -36,21 +36,36 @@ VictimChoice FifoPolicy::PickVictim(GuestPageTable& table) {
 
 VictimChoice ClockPolicy::PickVictim(GuestPageTable& table) {
   assert(size_ > 0);
-  Cycles cycles = params_.policy_fixed_cycles;
+  if (table.clear_generation() != prefix_generation_) {
+    // An A-bit may have been cleared since the last scan: walk from the head.
+    prefix_generation_ = table.clear_generation();
+    DropPrefix();
+  }
   // First page (from the head) whose A-bit is zero.  Bits are only checked;
-  // clearing happens in the pager's periodic scan.
+  // clearing happens in the pager's periodic scan.  The saved prefix is
+  // known accessed, so the walk resumes after it; the charge still covers
+  // every node from the head.
   const Cycles step_cycles = params_.list_node_cycles + params_.accessed_check_cycles;
-  for (PageIndex p = head_; p != kNilPage; p = nodes_[p].next) {
-    cycles += step_cycles;
+  NodeIndex p = prefix_last_ == kNilPage ? head_ : nodes_[prefix_last_].next;
+  for (; p != kNilPage; p = nodes_[p].next) {
     if (!table.Accessed(p)) {
       Unlink(p);
-      return {p, cycles};
+      return {p, params_.policy_fixed_cycles +
+                     static_cast<Cycles>(prefix_len_ + 1) * step_cycles};
     }
+    prefix_last_ = p;
+    ++prefix_len_;
   }
-  // Everything referenced since the last periodic clear: FIFO fallback.
+  // Everything referenced since the last periodic clear: FIFO fallback.  The
+  // head leaves the prefix; the rest of the list stays accessed.
   const PageIndex victim = head_;
-  cycles += params_.fifo_pop_cycles;
+  const Cycles cycles = params_.policy_fixed_cycles +
+                        static_cast<Cycles>(prefix_len_) * step_cycles +
+                        params_.fifo_pop_cycles;
   Unlink(victim);
+  if (--prefix_len_ == 0) {
+    prefix_last_ = kNilPage;
+  }
   return {victim, cycles};
 }
 

@@ -2,8 +2,8 @@
 //
 // Three policies, exactly as the paper describes them:
 //  * FIFO  — victims are picked in page-fault order (oldest fault first).
-//  * Clock — walk the FIFO list, pick the first page with A-bit == 0,
-//            clearing A-bits along the way (second chance).
+//  * Clock — walk the FIFO list, pick the first page with A-bit == 0;
+//            the A-bits age through the pager's periodic clear.
 //  * Mixed — apply Clock to the first x elements of the FIFO list; if every
 //            one of them was recently accessed, fall back to FIFO on the
 //            rest.  Bounds the scan cost while keeping scan resistance.
@@ -198,16 +198,43 @@ class FifoPolicy final : public FifoListBase {
 
 // Clock, exactly as Section 6.2 describes it: "The hypervisor iterates
 // through the FIFO list and chooses the first page whose 'accessed' bit is
-// zero.  The 'accessed' bit of all pages is periodically cleared."  The scan
-// restarts from the list head on every fault and only *checks* bits (aging
-// comes from the periodic clear), so its cost grows with the run of
-// recently-used pages that accumulates at the head — the Fig. 8 (bottom)
+// zero.  The 'accessed' bit of all pages is periodically cleared."
+//
+// Charged cost: every fault pays a walk from the list head — one list step
+// per node up to and including the victim — and only *checks* bits (aging
+// comes from the periodic clear), so the charge grows with the run of
+// recently-used pages that accumulates at the head: the Fig. 8 (bottom)
 // effect.  If the whole list is referenced, the head falls (FIFO fallback).
+//
+// Host work: the walk is resumed, not repeated.  Between two A-bit clears
+// (GuestPageTable::clear_generation) bits are only set and Clock never
+// re-queues a page, so the accessed prefix the last scan found is still
+// accessed; the next scan starts after it and charges its length without
+// walking it.  Between two clears the host visits each list node at most
+// once in all (not once per fault), and victims and cycles are identical
+// to the walk from the head.
 class ClockPolicy final : public FifoListBase {
  public:
   using FifoListBase::FifoListBase;
   PolicyKind kind() const override { return PolicyKind::kClock; }
+  void OnPageGone(PageIndex page) override {
+    FifoListBase::OnPageGone(page);
+    DropPrefix();
+  }
   VictimChoice PickVictim(GuestPageTable& table) override;
+
+ private:
+  void DropPrefix() {
+    prefix_last_ = kNilPage;
+    prefix_len_ = 0;
+  }
+
+  // The accessed run [head_ .. prefix_last_] (prefix_len_ nodes) found by
+  // the last scan, valid while the table's clear generation is
+  // `prefix_generation_`.
+  std::uint64_t prefix_generation_ = 0;
+  NodeIndex prefix_last_ = kNilPage;
+  std::size_t prefix_len_ = 0;
 };
 
 class MixedPolicy final : public FifoListBase {

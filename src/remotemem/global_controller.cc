@@ -181,39 +181,45 @@ std::vector<BufferGrant> GlobalMemoryController::TakeFreeOfType(ServerId user,
   // approach minimizes the performance impact caused by a remote server
   // failure."
   //
-  // Free records arrive sorted by id; regrouping them by host (hosts
-  // ascending, ids ascending within a host) reproduces the old
-  // map<ServerId, vector>'s iteration order with two flat passes.
-  std::vector<BufferRecord> free_records = db_.FreeBuffers(type);
-  std::stable_sort(free_records.begin(), free_records.end(),
-                   [](const BufferRecord& a, const BufferRecord& b) {
-                     return a.host < b.host;
-                   });
-  std::vector<std::pair<std::size_t, std::size_t>> groups;  // [begin, end) per host
-  for (std::size_t i = 0; i < free_records.size();) {
-    std::size_t j = i;
-    while (j < free_records.size() && free_records[j].host == free_records[i].host) {
-      ++j;
+  // One pass over the id-sorted records groups the free ones of this type
+  // by host (hosts ascending, ids ascending within a host), keeping only
+  // each host's first `want`: the round-robin never takes more than that
+  // from one host.
+  struct HostFree {
+    ServerId host;
+    std::vector<BufferRecord> records;
+  };
+  std::vector<HostFree> hosts;
+  for (const BufferRecord& rec : db_.records()) {
+    if (rec.user != kNilServer || rec.type != type) {
+      continue;
     }
-    groups.emplace_back(i, j);
-    i = j;
+    auto it = std::lower_bound(hosts.begin(), hosts.end(), rec.host,
+                               [](const HostFree& h, ServerId host) { return h.host < host; });
+    if (it == hosts.end() || it->host != rec.host) {
+      it = hosts.insert(it, HostFree{rec.host, {}});
+    }
+    if (it->records.size() < want) {
+      it->records.push_back(rec);
+    }
   }
-  std::vector<std::size_t> cursors(groups.size(), 0);
-  bool took_any = true;
-  while (grants.size() < want && took_any) {
-    took_any = false;
-    for (std::size_t g = 0; g < groups.size() && grants.size() < want; ++g) {
-      const auto [begin, end] = groups[g];
-      std::size_t& pos = cursors[g];
-      if (begin + pos >= end) {
+  for (std::size_t round = 0; grants.size() < want; ++round) {
+    bool took_any = false;
+    for (const HostFree& h : hosts) {
+      if (grants.size() >= want) {
+        break;
+      }
+      if (round >= h.records.size()) {
         continue;
       }
-      const BufferRecord& rec = free_records[begin + pos];
-      ++pos;
+      const BufferRecord& rec = h.records[round];
       (void)db_.Assign(rec.id, user);
       Mirror({MirrorOp::Kind::kAssign, {}, rec.id, user, rec.type, false});
       grants.push_back({rec.id, rec.rkey, rec.size, rec.host, rec.type});
       took_any = true;
+    }
+    if (!took_any) {
+      break;
     }
   }
   return grants;

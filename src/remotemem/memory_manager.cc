@@ -30,6 +30,25 @@ RemoteExtent::Location RemoteExtent::Locate(std::uint64_t page_index) const {
                   PagesToBytes(page_index % pages_per_buffer)};
 }
 
+std::uint8_t RemoteExtent::PageState(std::uint64_t page_index) const {
+  const std::uint64_t chunk = page_index / kStateChunkPages;
+  if (chunk >= page_state_.size() || page_state_[chunk].empty()) {
+    return 0;
+  }
+  return page_state_[chunk][page_index % kStateChunkPages];
+}
+
+std::uint8_t& RemoteExtent::MutablePageState(std::uint64_t page_index) {
+  const std::uint64_t chunk = page_index / kStateChunkPages;
+  if (chunk >= page_state_.size()) {
+    page_state_.resize(chunk + 1);
+  }
+  if (page_state_[chunk].empty()) {
+    page_state_[chunk].resize(kStateChunkPages, 0);
+  }
+  return page_state_[chunk][page_index % kStateChunkPages];
+}
+
 Result<Duration> RemoteExtent::WritePage(std::uint64_t page_index,
                                          std::span<const std::byte> data) {
   if (page_index >= capacity_pages()) {
@@ -38,10 +57,11 @@ Result<Duration> RemoteExtent::WritePage(std::uint64_t page_index,
   const Location loc = Locate(page_index);
   Slot& slot = buffers_[loc.slot];
   // The asynchronous local mirror always records the page (footnote 3).
-  mirrored_pages_.insert(page_index);
+  std::uint8_t& state = MutablePageState(page_index);
+  state |= kMirrored;
   if (slot.reclaimed) {
     // Remote home gone: the page lives only in the mirror until re-homing.
-    mirror_only_pages_.insert(page_index);
+    state |= kMirrorOnly;
     return store_.write_latency;  // degraded, synchronous local write
   }
   auto cost = verbs_->Write(local_node_, slot.grant.rkey, loc.offset,
@@ -50,7 +70,7 @@ Result<Duration> RemoteExtent::WritePage(std::uint64_t page_index,
     return cost;
   }
   ++remote_writes_;
-  mirror_only_pages_.erase(page_index);
+  state &= static_cast<std::uint8_t>(~kMirrorOnly);
   return cost;
 }
 
@@ -60,8 +80,9 @@ Result<Duration> RemoteExtent::ReadPage(std::uint64_t page_index, std::span<std:
   }
   const Location loc = Locate(page_index);
   const Slot& slot = buffers_[loc.slot];
-  if (slot.reclaimed || mirror_only_pages_.contains(page_index)) {
-    if (!mirrored_pages_.contains(page_index)) {
+  const std::uint8_t state = PageState(page_index);
+  if (slot.reclaimed || (state & kMirrorOnly) != 0) {
+    if ((state & kMirrored) == 0) {
       return Status(ErrorCode::kNotFound, "page lost: buffer reclaimed before first write");
     }
     ++mirror_reads_;
@@ -84,13 +105,23 @@ std::size_t RemoteExtent::OnBuffersReclaimed(const std::vector<BufferId>& reclai
       continue;
     }
     slot.reclaimed = true;
-    // Every mirrored page homed in this buffer becomes mirror-only.
+    // Every mirrored page homed in this buffer becomes mirror-only.  Chunks
+    // never written hold no mirrored page and are skipped whole.
     const std::uint64_t first = static_cast<std::uint64_t>(s) * pages_per_buffer;
-    for (std::uint64_t p = first; p < first + pages_per_buffer; ++p) {
-      if (mirrored_pages_.contains(p)) {
-        mirror_only_pages_.insert(p);
-        ++affected;
+    const std::uint64_t end = first + pages_per_buffer;
+    for (std::uint64_t p = first; p < end;) {
+      const std::uint64_t chunk = p / kStateChunkPages;
+      const std::uint64_t chunk_end = std::min(end, (chunk + 1) * kStateChunkPages);
+      if (chunk < page_state_.size() && !page_state_[chunk].empty()) {
+        for (; p < chunk_end; ++p) {
+          std::uint8_t& state = page_state_[chunk][p % kStateChunkPages];
+          if ((state & kMirrored) != 0) {
+            state |= kMirrorOnly;
+            ++affected;
+          }
+        }
       }
+      p = chunk_end;
     }
   }
   return affected;
@@ -102,19 +133,18 @@ std::size_t RemoteExtent::RehomeMirroredPages() {
   // just requires the slot be live again — i.e. fresh grants replaced
   // reclaimed slots.
   std::size_t moved = 0;
-  std::vector<std::uint64_t> rehomed;
-  // Order-independent: each page is tested against its own slot in isolation,
-  // `moved` is a count, and the erase set is the same whatever the order.
-  // ZLINT-ALLOW(unordered-iter): per-element predicate + count, order-free.
-  for (std::uint64_t page : mirror_only_pages_) {
-    const Location loc = Locate(page);
-    if (loc.slot < buffers_.size() && !buffers_[loc.slot].reclaimed) {
-      rehomed.push_back(page);
-      ++moved;
+  for (std::uint64_t chunk = 0; chunk < page_state_.size(); ++chunk) {
+    std::vector<std::uint8_t>& states = page_state_[chunk];
+    for (std::uint64_t i = 0; i < states.size(); ++i) {
+      if ((states[i] & kMirrorOnly) == 0) {
+        continue;
+      }
+      const Location loc = Locate(chunk * kStateChunkPages + i);
+      if (loc.slot < buffers_.size() && !buffers_[loc.slot].reclaimed) {
+        states[i] &= static_cast<std::uint8_t>(~kMirrorOnly);
+        ++moved;
+      }
     }
-  }
-  for (std::uint64_t page : rehomed) {
-    mirror_only_pages_.erase(page);
   }
   return moved;
 }

@@ -16,7 +16,6 @@
 #include <map>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/result.h"
@@ -86,15 +85,29 @@ class RemoteExtent {
   };
   Location Locate(std::uint64_t page_index) const;
 
+  // Per-page mirror state bits.
+  // Written at least once (the page exists in the local mirror).
+  static constexpr std::uint8_t kMirrored = 1;
+  // Remote home reclaimed: the page lives only in the mirror.
+  static constexpr std::uint8_t kMirrorOnly = 2;
+  // Pages per state chunk (4 KiB of state covers 16 MiB of extent).
+  static constexpr std::uint64_t kStateChunkPages = 4096;
+
+  // State of a page; 0 for one never written.
+  std::uint8_t PageState(std::uint64_t page_index) const;
+  // State of a page, allocating its chunk on first use.
+  std::uint8_t& MutablePageState(std::uint64_t page_index);
+
   rdma::Verbs* verbs_;
   rdma::NodeId local_node_;
   Bytes buff_size_;
   LocalStoreParams store_;
   std::vector<Slot> buffers_;
-  // Pages written at least once (they exist in the local mirror).
-  std::unordered_set<std::uint64_t> mirrored_pages_;
-  // Pages whose remote home was reclaimed; they live only in the mirror.
-  std::unordered_set<std::uint64_t> mirror_only_pages_;
+  // One state byte per page, in chunks allocated on the chunk's first
+  // write (an empty chunk holds no written page).  The extent keeps state
+  // for the pages it wrote, not for its capacity: the serving daemon
+  // allocates multi-GiB extents it never pages.
+  std::vector<std::vector<std::uint8_t>> page_state_;
   std::uint64_t remote_reads_ = 0;
   std::uint64_t remote_writes_ = 0;
   std::uint64_t mirror_reads_ = 0;

@@ -16,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/hv/backend.h"
+#include "src/hv/guest_pager.h"
 #include "src/hv/pager.h"
 #include "src/hv/replacement.h"
 #include "src/workloads/access_pattern.h"
@@ -235,6 +236,55 @@ TEST(GoldenReplacement, PagerStatsMatchRecorded) {
   for (const auto& golden : kStatsGoldens) {
     SCOPED_TRACE(std::string(PolicyKindName(golden.kind)));
     CheckStatsGolden(golden, RunCannedStream(golden.kind));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Explicit-SD golden: the same canned stream through GuestPager, whose guest
+// LRU is ClockPolicy.  Recorded before Clock's scan became resumable; the
+// per-access and batched entry points must both reproduce it.
+// ---------------------------------------------------------------------------
+
+// The canned stream's footprint at 30 % visible RAM; after the guest's RAM
+// reserve 516 frames stay usable.
+constexpr std::uint64_t kGuestVisiblePages = 615;
+
+PagerStats RunCannedGuestStream() {
+  DeviceBackend backend("golden-dev", DeviceLatency{10 * kMicrosecond, 8 * kMicrosecond});
+  GuestPager pager(2048, kGuestVisiblePages, &backend);
+  workloads::AccessPattern pattern = CannedPattern();
+  for (std::uint64_t i = 0; i < kStatsAccesses; ++i) {
+    const workloads::PageAccess access = pattern.Next();
+    EXPECT_TRUE(pager.Access(access.page, access.is_write).ok());
+  }
+  return pager.stats();
+}
+
+PagerStats RunCannedGuestStreamBatched() {
+  DeviceBackend backend("golden-dev", DeviceLatency{10 * kMicrosecond, 8 * kMicrosecond});
+  GuestPager pager(2048, kGuestVisiblePages, &backend);
+  workloads::AccessPattern pattern = CannedPattern();
+  std::vector<PageAccess> batch(1000);
+  for (std::uint64_t done = 0; done < kStatsAccesses; done += batch.size()) {
+    for (PageAccess& access : batch) {
+      const workloads::PageAccess next = pattern.Next();
+      access = {next.page, next.is_write};
+    }
+    pager.AccessBatch(batch);
+  }
+  return pager.stats();
+}
+
+TEST(GoldenReplacement, GuestPagerStatsMatchRecorded) {
+  const StatsGolden golden = {PolicyKind::kClock, 144063u, 142015u, 143547u,
+                              113399u, 1863855520, 5241899503};
+  {
+    SCOPED_TRACE("per-access");
+    CheckStatsGolden(golden, RunCannedGuestStream());
+  }
+  {
+    SCOPED_TRACE("batched");
+    CheckStatsGolden(golden, RunCannedGuestStreamBatched());
   }
 }
 

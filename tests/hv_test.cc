@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/hv/backend.h"
 #include "src/hv/guest_pager.h"
 #include "src/hv/page_table.h"
@@ -322,6 +323,184 @@ TEST(GuestPagerTest, OutOfRangeRejected) {
   DeviceBackend dev("dev", {});
   GuestPager pager(4, 4, &dev, {});
   EXPECT_FALSE(pager.Access(99, false).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Resumable Clock against the walk from the head.
+// ---------------------------------------------------------------------------
+
+// Clock as Section 6.2 states it, redone in full on every fault: walk the
+// FIFO order from the head to the first page whose A-bit is clear, charging
+// every node walked; if every page is accessed, the head falls.  ClockPolicy
+// resumes this walk within an A-bit generation and must agree with it on
+// every victim and every cycle.
+class ReferenceClock {
+ public:
+  explicit ReferenceClock(const PagingParams& params) : params_(params) {}
+
+  void OnPageIn(PageIndex page) { order_.push_back(page); }
+  void OnPageGone(PageIndex page) { std::erase(order_, page); }
+  std::size_t tracked() const { return order_.size(); }
+  bool fell_back() const { return fell_back_; }
+
+  VictimChoice PickVictim(const GuestPageTable& table) {
+    const Cycles step = params_.list_node_cycles + params_.accessed_check_cycles;
+    Cycles cycles = params_.policy_fixed_cycles;
+    fell_back_ = false;
+    for (auto it = order_.begin(); it != order_.end(); ++it) {
+      cycles += step;
+      if (!table.Accessed(*it)) {
+        const PageIndex victim = *it;
+        order_.erase(it);
+        return {victim, cycles};
+      }
+    }
+    fell_back_ = true;
+    const PageIndex victim = order_.front();
+    order_.erase(order_.begin());
+    return {victim, cycles + params_.fifo_pop_cycles};
+  }
+
+ private:
+  PagingParams params_;
+  std::vector<PageIndex> order_;
+  bool fell_back_ = false;
+};
+
+// One seeded mix: per-step operation weights out of 100.  The remainder
+// after page_in + pick + gone + set + clear_one goes to ClearAccessedBits.
+struct ClockMix {
+  std::uint64_t pages;
+  std::uint64_t steps;
+  std::uint32_t page_in;
+  std::uint32_t pick;
+  std::uint32_t gone;
+  std::uint32_t set;
+  std::uint32_t clear_one;
+};
+
+struct ClockMixCounts {
+  std::uint64_t picks = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t pushes_after_fallback = 0;  // a page-in right after a fallback
+  std::uint64_t clears_all = 0;
+};
+
+// Drives ClockPolicy and ReferenceClock over the same table with the same
+// operations, asserting the same victim and cycles at every pick.
+void DriveClockMix(const ClockMix& mix, std::uint64_t seed, ClockMixCounts* counts) {
+  PagingParams params;
+  ClockPolicy clock(params);
+  ReferenceClock reference(params);
+  GuestPageTable table(mix.pages);
+  std::vector<bool> tracked(mix.pages, false);
+  bool after_fallback = false;
+  Rng rng(seed);
+  for (std::uint64_t step = 0; step < mix.steps; ++step) {
+    const PageIndex page = rng.NextBelow(mix.pages);
+    std::uint64_t roll = rng.NextBelow(100);
+    if (roll < mix.page_in) {
+      if (!tracked[page]) {
+        tracked[page] = true;
+        clock.OnPageIn(page);
+        reference.OnPageIn(page);
+        counts->pushes_after_fallback += after_fallback ? 1 : 0;
+        after_fallback = false;
+      }
+      continue;
+    }
+    roll -= mix.page_in;
+    if (roll < mix.pick) {
+      if (reference.tracked() == 0) {
+        continue;
+      }
+      const VictimChoice want = reference.PickVictim(table);
+      const VictimChoice got = clock.PickVictim(table);
+      ASSERT_EQ(got.page, want.page) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.cycles, want.cycles) << "seed " << seed << " step " << step;
+      tracked[got.page] = false;
+      ++counts->picks;
+      counts->fallbacks += reference.fell_back() ? 1 : 0;
+      after_fallback = reference.fell_back();
+      continue;
+    }
+    roll -= mix.pick;
+    if (roll < mix.gone) {
+      tracked[page] = false;
+      clock.OnPageGone(page);
+      reference.OnPageGone(page);
+    } else if ((roll -= mix.gone) < mix.set) {
+      table.SetAccessed(page);
+    } else if ((roll -= mix.set) < mix.clear_one) {
+      table.ClearAccessed(page);
+    } else {
+      table.ClearAccessedBits();
+      ++counts->clears_all;
+    }
+    ASSERT_EQ(clock.tracked(), reference.tracked());
+  }
+}
+
+TEST(ClockResume, SinglePageListMatchesWalkFromHead) {
+  ClockMixCounts counts;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    DriveClockMix({1, 20'000, 30, 30, 5, 25, 5}, seed, &counts);
+  }
+  EXPECT_GT(counts.picks, 1000u);
+  EXPECT_GT(counts.fallbacks, 100u);
+}
+
+TEST(ClockResume, FallbackThenPushBackResumesAtTheNewPage) {
+  PagingParams params;
+  ClockPolicy clock(params);
+  GuestPageTable table(10);
+  for (PageIndex p : {3u, 1u, 7u}) {
+    table.SetAccessed(p);
+    clock.OnPageIn(p);
+  }
+  const Cycles step = params.list_node_cycles + params.accessed_check_cycles;
+  // Every page accessed: a full walk, then the head falls.
+  VictimChoice victim = clock.PickVictim(table);
+  EXPECT_EQ(victim.page, 3u);
+  EXPECT_EQ(victim.cycles, params.policy_fixed_cycles + 3 * step + params.fifo_pop_cycles);
+  // A fresh (unaccessed) page lands behind the still-accessed rest.
+  clock.OnPageIn(5);
+  victim = clock.PickVictim(table);
+  EXPECT_EQ(victim.page, 5u);
+  EXPECT_EQ(victim.cycles, params.policy_fixed_cycles + 3 * step);
+  // Nothing was cleared: the next walk again finds 1 and 7 accessed.
+  clock.OnPageIn(3);
+  table.SetAccessed(3);
+  victim = clock.PickVictim(table);
+  EXPECT_EQ(victim.page, 1u);
+  EXPECT_EQ(victim.cycles, params.policy_fixed_cycles + 3 * step + params.fifo_pop_cycles);
+}
+
+TEST(ClockResume, FallbacksAndPushBacksMatchWalkFromHead) {
+  // Few clears and many A-bit sets: the whole list is often accessed.
+  ClockMixCounts counts;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    DriveClockMix({24, 20'000, 30, 25, 2, 41, 1}, seed, &counts);
+  }
+  EXPECT_GT(counts.fallbacks, 1000u);
+  EXPECT_GT(counts.pushes_after_fallback, 100u);
+}
+
+TEST(ClockResume, SeededMixesMatchWalkFromHead) {
+  ClockMixCounts counts;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    DriveClockMix({96, 20'000, 35, 25, 3, 33, 2}, seed, &counts);
+  }
+  EXPECT_GT(counts.picks, 50'000u);
+  EXPECT_GT(counts.fallbacks, 0u);
+}
+
+TEST(ClockResume, MatchesAcrossTheEpochWrap) {
+  // The A-bit epoch is 16 bits; more than 65,536 clears wrap it.
+  ClockMixCounts counts;
+  DriveClockMix({32, 200'000, 20, 20, 2, 20, 2}, 7, &counts);
+  EXPECT_GE(counts.clears_all, 65'536u);
+  EXPECT_GT(counts.picks, 10'000u);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 // remote-memory manager / extent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/verbs.h"
 #include "src/remotemem/buffer_db.h"
@@ -364,6 +368,87 @@ TEST(Secondary, PromoteCarriesFullState) {
 }
 
 // ---------------------------------------------------------------------------
+// Grant order: TakeFreeOfType against the sort-everything algorithm.
+// ---------------------------------------------------------------------------
+
+// The grant order TakeFreeOfType has always produced, computed the way it
+// first did: every free record of the type (id order), stable-sorted by
+// host, then taken round-robin across hosts, hosts ascending.
+std::vector<BufferId> SortAllGrantOrder(const std::vector<BufferRecord>& records,
+                                        std::size_t want, BufferType type) {
+  std::vector<BufferRecord> free;
+  for (const BufferRecord& rec : records) {
+    if (rec.user == kNilServer && rec.type == type) {
+      free.push_back(rec);
+    }
+  }
+  std::stable_sort(free.begin(), free.end(),
+                   [](const BufferRecord& a, const BufferRecord& b) { return a.host < b.host; });
+  std::vector<std::vector<BufferId>> by_host;
+  for (std::size_t i = 0; i < free.size(); ++i) {
+    if (i == 0 || free[i].host != free[i - 1].host) {
+      by_host.emplace_back();
+    }
+    by_host.back().push_back(free[i].id);
+  }
+  std::vector<BufferId> order;
+  for (std::size_t round = 0; order.size() < want; ++round) {
+    bool took = false;
+    for (const auto& ids : by_host) {
+      if (round < ids.size() && order.size() < want) {
+        order.push_back(ids[round]);
+        took = true;
+      }
+    }
+    if (!took) {
+      break;
+    }
+  }
+  return order;
+}
+
+TEST(GrantOrder, TakeFreeOfTypeMatchesSortAllAlgorithm) {
+  constexpr ServerId kUser = 1000;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Sparse host ids, records in id order with gaps, both types, some
+    // already in use.
+    const std::uint64_t hosts = 1 + rng.NextBelow(12);
+    std::vector<BufferRecord> records;
+    BufferId id = 1;
+    const std::uint64_t n = rng.NextBelow(400);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      id += 1 + rng.NextBelow(3);
+      const auto host = static_cast<ServerId>(1 + 3 * rng.NextBelow(hosts));
+      const BufferType type = rng.NextBool(0.6) ? BufferType::kZombie : BufferType::kActive;
+      records.push_back(MakeRecord(id, host, type, rng.NextBool(0.3) ? 999 : kNilServer));
+    }
+    ServerStateView states;
+    states.Register(kUser);
+    GlobalMemoryController ctr(ControllerConfig{kTestBuff, true});
+    ctr.Restore(records, states);
+    for (int take = 0; take < 10; ++take) {
+      const std::size_t want = rng.NextBelow(60);
+      const BufferType type = rng.NextBool(0.5) ? BufferType::kZombie : BufferType::kActive;
+      const std::vector<BufferId> expected = SortAllGrantOrder(records, want, type);
+      const std::vector<BufferGrant> grants = ctr.TakeFreeOfType(kUser, want, type);
+      ASSERT_EQ(grants.size(), expected.size());
+      for (std::size_t i = 0; i < grants.size(); ++i) {
+        EXPECT_EQ(grants[i].id, expected[i]);
+        auto rec = std::find_if(records.begin(), records.end(),
+                                [&](const BufferRecord& r) { return r.id == grants[i].id; });
+        ASSERT_NE(rec, records.end());
+        EXPECT_EQ(grants[i].host, rec->host);
+        EXPECT_EQ(grants[i].rkey, rec->rkey);
+        EXPECT_EQ(grants[i].type, type);
+        rec->user = kUser;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // RemoteMemoryManager + RemoteExtent (over a live fabric).
 // ---------------------------------------------------------------------------
 
@@ -476,6 +561,234 @@ TEST_F(ManagerTest, RehomeAfterReplacementGrants) {
   std::vector<std::byte> buf(kPageSize);
   ASSERT_TRUE(extent->ReadPage(2, buf).ok());
   EXPECT_EQ(extent->mirror_reads(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// RemoteExtent against a set-based model of its page state.
+// ---------------------------------------------------------------------------
+
+// The extent's mirror bookkeeping kept as two ordered sets: pages written at
+// least once, and pages whose remote home was reclaimed.  Same routing and
+// verbs calls as RemoteExtent; only the page-state storage differs.
+class SetModelExtent {
+ public:
+  SetModelExtent(rdma::Verbs* verbs, rdma::NodeId node, Bytes buff_size, LocalStoreParams store)
+      : verbs_(verbs), node_(node), pages_per_buffer_(PagesOf(buff_size)), store_(store) {}
+
+  void AddGrants(const std::vector<BufferGrant>& grants) {
+    for (const BufferGrant& g : grants) {
+      slots_.push_back({g, false});
+    }
+  }
+
+  Result<Duration> WritePage(std::uint64_t page) {
+    if (page >= slots_.size() * pages_per_buffer_) {
+      return Status(ErrorCode::kInvalidArgument, "beyond capacity");
+    }
+    Slot& slot = slots_[page / pages_per_buffer_];
+    mirrored_.insert(page);
+    if (slot.reclaimed) {
+      mirror_only_.insert(page);
+      return store_.write_latency;
+    }
+    auto cost = verbs_->Write(node_, slot.grant.rkey, Offset(page), {});
+    if (!cost.ok()) {
+      return cost;
+    }
+    ++remote_writes_;
+    mirror_only_.erase(page);
+    return cost;
+  }
+
+  Result<Duration> ReadPage(std::uint64_t page) {
+    if (page >= slots_.size() * pages_per_buffer_) {
+      return Status(ErrorCode::kInvalidArgument, "beyond capacity");
+    }
+    const Slot& slot = slots_[page / pages_per_buffer_];
+    if (slot.reclaimed || mirror_only_.contains(page)) {
+      if (!mirrored_.contains(page)) {
+        return Status(ErrorCode::kNotFound, "lost");
+      }
+      ++mirror_reads_;
+      return store_.read_latency;
+    }
+    auto cost = verbs_->Read(node_, slot.grant.rkey, Offset(page), {});
+    if (!cost.ok()) {
+      return cost;
+    }
+    ++remote_reads_;
+    return cost;
+  }
+
+  std::size_t OnBuffersReclaimed(const std::vector<BufferId>& reclaimed) {
+    std::size_t affected = 0;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      if (std::find(reclaimed.begin(), reclaimed.end(), slots_[s].grant.id) == reclaimed.end()) {
+        continue;
+      }
+      slots_[s].reclaimed = true;
+      for (std::uint64_t p = s * pages_per_buffer_; p < (s + 1) * pages_per_buffer_; ++p) {
+        if (mirrored_.contains(p)) {
+          mirror_only_.insert(p);
+          ++affected;
+        }
+      }
+    }
+    return affected;
+  }
+
+  std::size_t RehomeMirroredPages() {
+    std::size_t moved = 0;
+    for (auto it = mirror_only_.begin(); it != mirror_only_.end();) {
+      if (!slots_[*it / pages_per_buffer_].reclaimed) {
+        it = mirror_only_.erase(it);
+        ++moved;
+      } else {
+        ++it;
+      }
+    }
+    return moved;
+  }
+
+  std::uint64_t remote_reads_ = 0;
+  std::uint64_t remote_writes_ = 0;
+  std::uint64_t mirror_reads_ = 0;
+
+ private:
+  struct Slot {
+    BufferGrant grant;
+    bool reclaimed;
+  };
+  Bytes Offset(std::uint64_t page) const { return PagesToBytes(page % pages_per_buffer_); }
+
+  rdma::Verbs* verbs_;
+  rdma::NodeId node_;
+  std::uint64_t pages_per_buffer_;
+  LocalStoreParams store_;
+  std::vector<Slot> slots_;
+  std::set<std::uint64_t> mirrored_;
+  std::set<std::uint64_t> mirror_only_;
+};
+
+// One fabric with a user and a lending host, accounting-only regions.
+struct ExtentWorld {
+  ExtentWorld() : verbs(&fabric) {
+    user = Attach("user", &user_up);
+    host = Attach("host", &host_up);
+  }
+  rdma::NodeId Attach(std::string name, bool* alive) {
+    rdma::NodePort port;
+    port.name = std::move(name);
+    port.can_initiate = [alive] { return *alive; };
+    port.memory_accessible = [alive] { return *alive; };
+    return fabric.Attach(std::move(port));
+  }
+  // Registers `n` regions on the host (up for the registration, then back
+  // to its previous state) and grants them.
+  std::vector<BufferGrant> Grants(std::size_t n, Bytes buff_size) {
+    const bool was_up = host_up;
+    host_up = true;
+    std::vector<BufferGrant> grants;
+    for (std::size_t i = 0; i < n; ++i) {
+      rdma::MrAccess access;
+      access.materialize = false;
+      auto rkey = verbs.RegisterRegion(host, buff_size, access);
+      EXPECT_TRUE(rkey.ok());
+      grants.push_back({next_id++, rkey.value(), buff_size, 2, BufferType::kZombie});
+    }
+    host_up = was_up;
+    return grants;
+  }
+
+  rdma::Fabric fabric;
+  rdma::Verbs verbs;
+  bool user_up = true;
+  bool host_up = true;
+  rdma::NodeId user = rdma::kInvalidNode;
+  rdma::NodeId host = rdma::kInvalidNode;
+  BufferId next_id = 1;
+};
+
+// Expects the same status and cost; returns the model's status code.
+ErrorCode ExpectSameResult(const Result<Duration>& got, const Result<Duration>& want) {
+  EXPECT_EQ(got.code(), want.code());
+  if (got.ok() && want.ok()) {
+    EXPECT_EQ(got.value(), want.value());
+  }
+  return want.code();
+}
+
+// Seeded AddGrants / WritePage / ReadPage / OnBuffersReclaimed /
+// RehomeMirroredPages sequences, with the lending host going dark now and
+// then so verbs fail, over extents that span several state chunks.
+TEST(RemoteExtentProperty, RandomOpsMatchSetModel) {
+  constexpr Bytes kBuff = 1 * kMiB;  // 256 pages a buffer
+  const LocalStoreParams store;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExtentWorld real_world;
+    ExtentWorld model_world;
+    RemoteExtent extent(&real_world.verbs, real_world.user, kBuff, store);
+    SetModelExtent model(&model_world.verbs, model_world.user, kBuff, store);
+    extent.AddGrants(real_world.Grants(4, kBuff));
+    model.AddGrants(model_world.Grants(4, kBuff));
+    std::vector<std::uint64_t> written;
+    std::map<ErrorCode, int> codes;
+    std::size_t reclaimed_pages = 0;
+    Rng rng(seed);
+    for (int step = 0; step < 6000; ++step) {
+      const std::uint64_t capacity = extent.capacity_pages();
+      // Any page of the extent, now and then one just beyond it.
+      const auto any_page = [&] {
+        return rng.NextBool(0.03) ? capacity + rng.NextBelow(3) : rng.NextBelow(capacity);
+      };
+      const std::uint64_t roll = rng.NextBelow(100);
+      if (roll < 2) {
+        const std::size_t n = 1 + rng.NextBelow(6);
+        extent.AddGrants(real_world.Grants(n, kBuff));
+        model.AddGrants(model_world.Grants(n, kBuff));
+      } else if (roll < 45) {
+        // Mostly fresh pages anywhere, some rewrites.
+        const std::uint64_t page = written.empty() || rng.NextBool(0.7)
+                                       ? any_page()
+                                       : written[rng.NextBelow(written.size())];
+        written.push_back(page);
+        ++codes[ExpectSameResult(extent.WritePage(page, {}), model.WritePage(page))];
+      } else if (roll < 90) {
+        const std::uint64_t page = written.empty() || rng.NextBool(0.2)
+                                       ? any_page()
+                                       : written[rng.NextBelow(written.size())];
+        ++codes[ExpectSameResult(extent.ReadPage(page, {}), model.ReadPage(page))];
+      } else if (roll < 94) {
+        // Reclaim a random handful of ids, some of them not in the extent.
+        std::vector<BufferId> ids;
+        const std::size_t n = 1 + rng.NextBelow(3);
+        for (std::size_t i = 0; i < n; ++i) {
+          ids.push_back(1 + rng.NextBelow(real_world.next_id + 2));
+        }
+        const std::size_t affected = model.OnBuffersReclaimed(ids);
+        EXPECT_EQ(extent.OnBuffersReclaimed(ids), affected);
+        reclaimed_pages += affected;
+      } else if (roll < 97) {
+        EXPECT_EQ(extent.RehomeMirroredPages(), model.RehomeMirroredPages());
+      } else {
+        real_world.host_up = model_world.host_up = !real_world.host_up;
+      }
+      ASSERT_EQ(extent.remote_reads(), model.remote_reads_) << "step " << step;
+      ASSERT_EQ(extent.remote_writes(), model.remote_writes_) << "step " << step;
+      ASSERT_EQ(extent.mirror_reads(), model.mirror_reads_) << "step " << step;
+    }
+    // Every path was taken: remote and mirror reads, lost pages, writes
+    // beyond capacity, failed verbs, reclaims that hit written pages.
+    EXPECT_GT(codes[ErrorCode::kOk], 0);
+    EXPECT_GT(codes[ErrorCode::kNotFound], 0);
+    EXPECT_GT(codes[ErrorCode::kInvalidArgument], 0);
+    EXPECT_GT(codes.size(), 3u);
+    EXPECT_GT(reclaimed_pages, 0u);
+    EXPECT_GT(extent.capacity_pages(), 2 * 4096u);
+    EXPECT_GT(extent.mirror_reads(), 0u);
+    EXPECT_GT(extent.remote_reads(), 0u);
+  }
 }
 
 TEST_F(ManagerTest, GrowSwapExtentAddsCapacity) {
