@@ -45,6 +45,10 @@ void BM_OneSidedRead4K(benchmark::State& state) {
   Harness h;
   auto rkey = h.verbs.RegisterRegion(h.b, 1 << 20);
   std::vector<std::byte> buf(4096);
+  // Read a written page: an untouched one is the OS zero page, not lent RAM.
+  if (!h.verbs.Write(h.a, rkey.value(), 0, buf).ok()) {
+    state.SkipWithError("write failed");
+  }
   for (auto _ : state) {
     auto cost = h.verbs.Read(h.a, rkey.value(), 0, buf);
     benchmark::DoNotOptimize(cost);
@@ -77,6 +81,21 @@ void BM_OneSidedReadUnmaterialized(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OneSidedReadUnmaterialized);
+
+// Registration cost of one materialized 16 MiB region (the buffer size the
+// smoke quickstart lends), including its deregistration.
+void BM_RegisterMaterialized16MiB(benchmark::State& state) {
+  Harness h;
+  for (auto _ : state) {
+    auto rkey = h.verbs.RegisterRegion(h.b, 16 << 20);
+    benchmark::DoNotOptimize(rkey);
+    if (!rkey.ok() || !h.verbs.DeregisterRegion(rkey.value()).ok()) {
+      state.SkipWithError("register/deregister failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_RegisterMaterialized16MiB);
 
 void BM_FabricPricingOnly(benchmark::State& state) {
   Harness h;

@@ -28,13 +28,16 @@
 #   perf      micro_hotloop vs the checked-in floor, serial.  Skipped when
 #             ZOMBIE_SKIP_PERF=1 (escape hatch for CI runners with noisy
 #             neighbors; the workflow sets it, local runs default to off)
-#   asan      ASan/UBSan configure + build + ctest (build-asan/)
+#   asan      ASan/UBSan configure + build + ctest (build-asan/); any UBSan
+#             report fails its test (-fno-sanitize-recover=undefined)
 #   tsan      TSan configure + build (build-tsan/, ZOMBIE_SANITIZE=thread),
 #             then the concurrent surface: the `threaded` ctest label (sharded
 #             pager + WorkQueue stress suites and the hotloop_threaded smoke)
-#             plus the `serve` and `faults` labels, and a micro_hotloop smoke
-#             pass so the shard workers run under the race detector (no floor
-#             gate — instrumentation overhead would always trip it)
+#             plus the `serve` and `faults` labels, the RdmaTest suite (its
+#             mmap-backed regions go through TSan's interceptors), and a
+#             micro_hotloop smoke pass so the shard workers run under the race
+#             detector (no floor gate — instrumentation overhead would always
+#             trip it)
 #   bench     Release build (build-bench/) + the bench_smoke label
 #   perfbench the repo benchmark's own unit tests: perfbench/ configured out
 #             of tree (build/perfbench/), perfbench_test built and run
@@ -224,6 +227,7 @@ for stage in "${stages[@]}"; do
       cmake --build build-tsan -j "${jobs}"
       ctest --test-dir build-tsan -L 'threaded|serve|faults' \
         --output-on-failure -j "${jobs}"
+      ctest --test-dir build-tsan -R '^RdmaTest\.' --output-on-failure -j "${jobs}"
       # micro_hotloop's threaded rows under TSan: smoke budget, no floor
       # arguments — this is a race hunt, not a throughput measurement.
       ZOMBIE_BENCH_SMOKE=1 ./build-tsan/micro_hotloop > /dev/null

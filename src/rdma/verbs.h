@@ -1,10 +1,13 @@
 // RDMA verbs over the simulated fabric: memory regions, queue pairs and
 // completion queues.
 //
-// Data really moves: a MemoryRegion owns bytes, and READ/WRITE copy between
-// local and remote regions, so higher layers (hypervisor paging, swap
-// devices) can verify page contents end-to-end.  Every verb returns the
-// simulated cost so callers charge their CostAccumulator.
+// Data really moves: a materialized MemoryRegion owns bytes, and READ/WRITE
+// copy between local and remote regions, so higher layers (hypervisor paging,
+// swap devices) can verify page contents end-to-end.  The bytes are one
+// untouched anonymous mapping, so registering a region costs no memory until
+// its pages are written: the OS backs a page on first touch and untouched
+// pages read as zeros.  Every verb returns the simulated cost so callers
+// charge their CostAccumulator.
 #ifndef ZOMBIELAND_SRC_RDMA_VERBS_H_
 #define ZOMBIELAND_SRC_RDMA_VERBS_H_
 
@@ -14,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/result.h"
@@ -29,37 +33,44 @@ inline constexpr RKey kInvalidRKey = 0;
 struct MrAccess {
   bool remote_read = true;
   bool remote_write = true;
-  // When false the region carries no backing bytes: operations are priced
-  // and counted but no data moves.  Large-scale simulations register
-  // accounting-only regions so a 16 GiB zombie pool costs nothing to model.
+  // When true the region carries real bytes that READ/WRITE move.  They are
+  // reserved, not allocated: memory is spent only on pages that get written,
+  // so lending a 16 GiB zombie pool costs nothing until it is used.  When
+  // false the region carries no bytes at all: operations are priced and
+  // counted but no data moves (and registration makes no syscall).
   bool materialize = true;
 };
+
+// Unmaps a materialized region's bytes.
+struct RegionUnmapper {
+  Bytes size = 0;
+  void operator()(std::byte* bytes) const;
+};
+using RegionBytes = std::unique_ptr<std::byte, RegionUnmapper>;
 
 // A registered memory region: an rkey plus (optionally) owned bytes.
 class MemoryRegion {
  public:
-  MemoryRegion(RKey rkey, NodeId owner, Bytes size, MrAccess access)
-      : rkey_(rkey),
-        owner_(owner),
-        access_(access),
-        size_(size),
-        bytes_(access.materialize ? size : 0, std::byte{0}) {}
+  // `bytes` is null for an accounting-only region.
+  MemoryRegion(RKey rkey, NodeId owner, Bytes size, MrAccess access, RegionBytes bytes)
+      : rkey_(rkey), owner_(owner), access_(access), size_(size), bytes_(std::move(bytes)) {}
 
   RKey rkey() const { return rkey_; }
   NodeId owner() const { return owner_; }
   Bytes size() const { return size_; }
   const MrAccess& access() const { return access_; }
-  bool materialized() const { return access_.materialize; }
+  bool materialized() const { return bytes_ != nullptr; }
 
-  std::span<std::byte> bytes() { return bytes_; }
-  std::span<const std::byte> bytes() const { return bytes_; }
+  // The region's bytes; null for an accounting-only region.
+  std::byte* data() { return bytes_.get(); }
+  const std::byte* data() const { return bytes_.get(); }
 
  private:
   RKey rkey_;
   NodeId owner_;
   MrAccess access_;
   Bytes size_;
-  std::vector<std::byte> bytes_;
+  RegionBytes bytes_;
 };
 
 // Completion entry.
@@ -88,10 +99,12 @@ class CompletionQueue {
 class Verbs {
  public:
   explicit Verbs(Fabric* fabric) : fabric_(fabric) {}
+  ~Verbs();  // unmaps the regions still registered
 
   Fabric& fabric() { return *fabric_; }
 
-  // Registers `size` bytes on `owner`.  Returns the region's rkey.
+  // Registers `size` bytes on `owner`.  Returns the region's rkey, or
+  // kOutOfMemory when a materialized region's bytes cannot be mapped.
   [[nodiscard]] Result<RKey> RegisterRegion(NodeId owner, Bytes size, MrAccess access = {});
   [[nodiscard]] Status DeregisterRegion(RKey rkey);
 

@@ -1,10 +1,15 @@
 // Unit tests for the RDMA fabric simulator: fabric pricing, verbs semantics
 // (including the zombie one-sided-access property), RPC over RDMA.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/rpc.h"
 #include "src/rdma/verbs.h"
@@ -25,12 +30,15 @@ class RdmaTest : public ::testing::Test {
     zombie_id_ = Attach(&zombie_, "zombie");
   }
 
-  NodeId Attach(FakeNode* node, std::string name) {
+  static NodeId AttachTo(Fabric& fabric, FakeNode* node, std::string name) {
     NodePort port;
     port.name = std::move(name);
     port.can_initiate = [node] { return node->cpu_on; };
     port.memory_accessible = [node] { return node->memory_on; };
-    return fabric_.Attach(std::move(port));
+    return fabric.Attach(std::move(port));
+  }
+  NodeId Attach(FakeNode* node, std::string name) {
+    return AttachTo(fabric_, node, std::move(name));
   }
 
   Fabric fabric_;
@@ -196,6 +204,178 @@ TEST_F(RdmaTest, FabricCountsTraffic) {
   ASSERT_TRUE(verbs_.Read(user_id_, rkey.value(), 0, buf).ok());
   EXPECT_EQ(fabric_.total_operations(), 2u);
   EXPECT_EQ(fabric_.total_bytes(), 8192u);
+}
+
+// ---------------------------------------------------------------------------
+// Materialized region backing: reserved on registration, backed on first
+// touch, zero where untouched.
+// ---------------------------------------------------------------------------
+
+// Resident set size of this process, from /proc/self/statm; 0 if unreadable.
+Bytes ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  unsigned long long total_pages = 0;
+  unsigned long long resident_pages = 0;
+  const int got = std::fscanf(f, "%llu %llu", &total_pages, &resident_pages);
+  std::fclose(f);
+  return got == 2 ? resident_pages * static_cast<Bytes>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+bool AllZero(std::span<const std::byte> bytes) {
+  for (std::byte b : bytes) {
+    if (b != std::byte{0}) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(RdmaTest, EmptySpansOnMaterializedRegion) {
+  auto rkey = verbs_.RegisterRegion(zombie_id_, 8192);
+  ASSERT_TRUE(rkey.ok());
+  fabric_.ResetCounters();
+  for (Bytes offset : {Bytes{0}, Bytes{8192}}) {
+    EXPECT_TRUE(verbs_.Write(user_id_, rkey.value(), offset, std::span<const std::byte>{}).ok());
+    EXPECT_TRUE(verbs_.Read(user_id_, rkey.value(), offset, std::span<std::byte>{}).ok());
+  }
+  EXPECT_EQ(fabric_.total_operations(), 4u);
+  EXPECT_EQ(fabric_.total_bytes(), 0u);
+}
+
+TEST_F(RdmaTest, SixteenGiBRegionCostsOnlyTouchedPages) {
+  constexpr Bytes kSize = 16 * kGiB;
+  const Bytes rss_before = ResidentBytes();
+  auto rkey = verbs_.RegisterRegion(zombie_id_, kSize);
+  ASSERT_TRUE(rkey.ok());
+
+  std::vector<std::byte> page(4096);
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<std::byte>((i * 7 + 3) & 0xff);
+  }
+  ASSERT_TRUE(verbs_.Write(user_id_, rkey.value(), kSize - page.size(), page).ok());
+  std::vector<std::byte> back(page.size());
+  ASSERT_TRUE(verbs_.Read(user_id_, rkey.value(), kSize - back.size(), back).ok());
+  EXPECT_EQ(back, page);
+
+  std::vector<std::byte> untouched(64 * 1024, std::byte{0xEE});
+  for (Bytes offset : {Bytes{0}, 8 * kGiB + 12345, kSize - page.size() - untouched.size()}) {
+    ASSERT_TRUE(verbs_.Read(user_id_, rkey.value(), offset, untouched).ok());
+    EXPECT_TRUE(AllZero(untouched)) << "offset " << offset;
+  }
+  // Registering and touching a few pages must not have committed the region.
+  EXPECT_LT(ResidentBytes(), rss_before + 512 * kMiB);
+  EXPECT_TRUE(verbs_.DeregisterRegion(rkey.value()).ok());
+}
+
+// A dense byte vector is the reference for a materialized region; an
+// accounting-only twin on its own fabric is the reference for costs and
+// counters.  Offsets cluster around 4 KiB and 2 MiB boundaries, and some ops
+// run past the end.
+TEST_F(RdmaTest, MaterializedRegionMatchesDenseReference) {
+  constexpr Bytes kSize = 5 * kMiB + 1234;  // not a multiple of 4096
+  Fabric twin_fabric;
+  Verbs twin_verbs(&twin_fabric);
+  const NodeId twin_user = AttachTo(twin_fabric, &user_, "user");
+  const NodeId twin_zombie = AttachTo(twin_fabric, &zombie_, "zombie");
+  ASSERT_EQ(twin_user, user_id_);
+  ASSERT_EQ(twin_zombie, zombie_id_);
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fabric_.ResetCounters();
+    twin_fabric.ResetCounters();
+    auto rkey = verbs_.RegisterRegion(zombie_id_, kSize);
+    MrAccess accounting_only;
+    accounting_only.materialize = false;
+    auto twin_rkey = twin_verbs.RegisterRegion(twin_zombie, kSize, accounting_only);
+    ASSERT_TRUE(rkey.ok());
+    ASSERT_TRUE(twin_rkey.ok());
+    std::vector<std::byte> reference(kSize, std::byte{0});
+    Rng rng(seed);
+    for (int step = 0; step < 600; ++step) {
+      const Bytes boundary = rng.NextBool(0.5) ? 4096 : 2 * kMiB;
+      const Bytes near = boundary * rng.NextBelow(kSize / boundary + 1);
+      const Bytes offset = near - std::min(near, rng.NextBelow(5000));
+      const Bytes len = rng.NextBool(0.1) ? rng.NextBelow(3 * kMiB) : rng.NextBelow(3 * 4096);
+      const bool in_bounds = offset + len <= kSize;
+      std::vector<std::byte> buf(len);
+      Result<Duration> cost = Duration{0};
+      Result<Duration> twin_cost = Duration{0};
+      if (rng.NextBool(0.5)) {
+        for (std::byte& b : buf) {
+          b = static_cast<std::byte>(rng.NextBelow(256));
+        }
+        cost = verbs_.Write(user_id_, rkey.value(), offset, buf);
+        twin_cost = twin_verbs.Write(twin_user, twin_rkey.value(), offset, buf);
+        if (in_bounds) {
+          std::copy(buf.begin(), buf.end(), reference.begin() + static_cast<std::ptrdiff_t>(offset));
+        }
+      } else {
+        cost = verbs_.Read(user_id_, rkey.value(), offset, buf);
+        twin_cost = twin_verbs.Read(twin_user, twin_rkey.value(), offset, buf);
+        if (in_bounds) {
+          ASSERT_TRUE(std::equal(buf.begin(), buf.end(),
+                                 reference.begin() + static_cast<std::ptrdiff_t>(offset)))
+              << "read [" << offset << ", +" << len << ")";
+        }
+      }
+      ASSERT_EQ(cost.ok(), in_bounds) << "op [" << offset << ", +" << len << ")";
+      ASSERT_EQ(cost.code(), twin_cost.code());
+      if (in_bounds) {
+        ASSERT_EQ(cost.value(), twin_cost.value());
+      }
+      ASSERT_EQ(fabric_.total_operations(), twin_fabric.total_operations());
+      ASSERT_EQ(fabric_.total_bytes(), twin_fabric.total_bytes());
+    }
+    std::vector<std::byte> all(kSize);
+    ASSERT_TRUE(verbs_.Read(user_id_, rkey.value(), 0, all).ok());
+    EXPECT_EQ(all, reference);
+    EXPECT_TRUE(verbs_.DeregisterRegion(rkey.value()).ok());
+    EXPECT_TRUE(twin_verbs.DeregisterRegion(twin_rkey.value()).ok());
+  }
+}
+
+TEST_F(RdmaTest, ReregisteredRegionReadsZeros) {
+  constexpr Bytes kSize = 4 * kMiB;
+  auto first = verbs_.RegisterRegion(zombie_id_, kSize);
+  ASSERT_TRUE(first.ok());
+  const std::vector<std::byte> fill(kSize, std::byte{0x5A});
+  ASSERT_TRUE(verbs_.Write(user_id_, first.value(), 0, fill).ok());
+  ASSERT_TRUE(verbs_.DeregisterRegion(first.value()).ok());
+
+  auto second = verbs_.RegisterRegion(zombie_id_, kSize);
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second.value(), first.value());
+  std::vector<std::byte> back(kSize, std::byte{0xFF});
+  ASSERT_TRUE(verbs_.Read(user_id_, second.value(), 0, back).ok());
+  EXPECT_TRUE(AllZero(back));
+}
+
+TEST_F(RdmaTest, WrappingOffsetRejected) {
+  auto rkey = verbs_.RegisterRegion(zombie_id_, 8192);
+  ASSERT_TRUE(rkey.ok());
+  std::vector<std::byte> buf(4096);
+  const Bytes wrapping = ~Bytes{0} - 100;  // offset + len wraps past 2^64
+  EXPECT_EQ(verbs_.Read(user_id_, rkey.value(), wrapping, buf).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(verbs_.Write(user_id_, rkey.value(), wrapping, buf).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST_F(RdmaTest, UnmappableRegionIsAStatus) {
+  for (Bytes size : {Bytes{1} << 62, ~Bytes{0}}) {
+    auto rkey = verbs_.RegisterRegion(zombie_id_, size);
+    EXPECT_FALSE(rkey.ok()) << "size " << size;
+    EXPECT_EQ(rkey.code(), ErrorCode::kOutOfMemory);
+  }
+  // A failed registration leaves the device usable.
+  auto rkey = verbs_.RegisterRegion(zombie_id_, 4096);
+  ASSERT_TRUE(rkey.ok());
+  std::vector<std::byte> buf(4096);
+  EXPECT_TRUE(verbs_.Read(user_id_, rkey.value(), 0, buf).ok());
 }
 
 // ---------------------------------------------------------------------------
